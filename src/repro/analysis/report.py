@@ -183,9 +183,9 @@ def generate_report(
         "analog reference (`python -m repro.substrate fit`), ~130x",
         "faster on fleet-style sweeps and within 0.02 absolute of fresh",
         "analog fleet means on every fitted (operation, fan-in,",
-        "temperature) cell.  `trace-record`/`trace-replay` capture and",
-        "serve byte-identical measurement traces, failing loudly on any",
-        "divergence.  See \"Substrate backends\" in README.md,",
+        "temperature) cell.  A finished sweep is re-served from its",
+        "checkpoints with `--checkpoint-dir` plus `--resume` (below).",
+        "See \"Substrate backends\" in README.md,",
         "`tests/substrate/` for the cross-backend equivalence suite, and",
         "`benchmarks/bench_substrate.py` for the speedup measurement.",
         "",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Optional
 
 __all__ = ["atomic_write_text", "atomic_write_json"]
 
@@ -42,6 +41,6 @@ def atomic_write_text(path: str, content: str) -> None:
         raise
 
 
-def atomic_write_json(path: str, payload: object, indent: Optional[int] = None) -> None:
-    """Serialize ``payload`` to JSON and write it atomically."""
-    atomic_write_text(path, json.dumps(payload, indent=indent))
+def atomic_write_json(path: str, payload: object) -> None:
+    """Serialize ``payload`` to JSON (indented by 2) and write it atomically."""
+    atomic_write_text(path, json.dumps(payload, indent=2))

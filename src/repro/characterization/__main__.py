@@ -30,15 +30,8 @@ def _backend_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if not args.surrogate_table:
             parser.error("--backend surrogate requires --surrogate-table")
         return f"surrogate:{args.surrogate_table}"
-    if args.backend in ("trace-record", "trace-replay"):
-        if not args.trace:
-            parser.error(f"--backend {args.backend} requires --trace")
-        return f"{args.backend}:{args.trace}"
-    if args.surrogate_table or args.trace:
-        parser.error(
-            "--surrogate-table/--trace only apply to the surrogate and "
-            "trace backends"
-        )
+    if args.surrogate_table:
+        parser.error("--surrogate-table only applies to --backend surrogate")
     return "analog"
 
 
@@ -58,12 +51,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("analog", "surrogate", "trace-record", "trace-replay"),
+        choices=("analog", "surrogate"),
         default="analog",
         help="substrate engine serving the measurements: 'analog' (the "
-        "default, bit-identical to historical runs), 'surrogate' (a "
-        "fitted table, needs --surrogate-table), or trace "
-        "record/replay (need --trace)",
+        "default, bit-identical to historical runs) or 'surrogate' (a "
+        "fitted table, needs --surrogate-table)",
     )
     parser.add_argument(
         "--surrogate-table",
@@ -71,13 +63,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         help="fitted table for --backend surrogate "
         "(python -m repro.substrate fit)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="trace file to write (--backend trace-record) or serve "
-        "(--backend trace-replay)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list experiment ids and exit"
@@ -104,11 +89,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         resilience=resilience_from_args(args),
     )
-    if backend_spec.startswith("trace-record"):
-        from ..substrate import resolve_backend
-
-        resolve_backend(backend_spec).finalize()
-        print(f"[trace recorded to {args.trace}]")
     print(result.format_table())
     health_text = result.format_health()
     if health_text:

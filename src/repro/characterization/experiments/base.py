@@ -28,7 +28,6 @@ import numpy as np
 
 from ...dram.config import Manufacturer, ModuleSpec
 from ...dram.decoder import ActivationKind
-from ...errors import ConfigurationError
 from ...rng import derive_seed
 from ..metrics import WeightedSamples
 from ..parallel import ProcessPoolSweepExecutor, SerialExecutor, TargetWork
@@ -257,13 +256,6 @@ def _run_sweep(
     """Run ``work`` over ``descriptors`` and aggregate the records in
     canonical sweep order: serially for one job, over a process pool
     for more."""
-    if jobs > 1 and scale.backend.startswith("trace-record"):
-        # Trace recording accumulates in one process-local event log; a
-        # pool worker's recording would be dropped on exit.
-        raise ConfigurationError(
-            "backend 'trace-record' requires jobs=1: recordings accumulate "
-            "per process and pool workers discard theirs on exit"
-        )
     executor = ProcessPoolSweepExecutor(jobs) if jobs > 1 else SerialExecutor()
     outcome = executor.run_resilient(
         work, scale, seed, descriptors, resilience=resilience

@@ -168,21 +168,11 @@ class SubstrateError(ReproError):
     """A substrate backend could not serve a measurement request.
 
     Base class for the :mod:`repro.substrate` failures: malformed backend
-    specifications, unusable surrogate tables, and trace mismatches.
+    specifications and unusable surrogate tables.
     """
 
 
 class SurrogateTableError(SubstrateError):
     """A fitted surrogate table is missing, malformed, or lacks the
     requested (operation, fan-in, distance, temperature, pattern) cell.
-    """
-
-
-class TraceMismatchError(SubstrateError):
-    """A strict-mode trace replay diverged from the recorded call stream.
-
-    Raised when a replayed measurement request has no recorded entry
-    (unknown key), when a key's recorded entries are exhausted, or when a
-    recorded payload fails its integrity check.  The message names the
-    offending key so the divergence is attributable.
     """

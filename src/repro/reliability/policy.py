@@ -177,7 +177,7 @@ class PolicyTable:
         }
 
     def save(self, path: str) -> None:
-        atomic_write_json(path, self.to_payload(), indent=2)
+        atomic_write_json(path, self.to_payload())
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "PolicyTable":

@@ -861,7 +861,8 @@ class ProgramVerifier:
                 violations.append(
                     f"tRCD violated on bank {bank}: {gap:.2f}ns < {timing.t_rcd}ns"
                 )
-        verdict = self.control.column_access(open_, row, write=cmd.opcode is Opcode.WR)
+        write = cmd.opcode is Opcode.WR
+        verdict = self.control.column_access(open_, row, write=write)
         if verdict is Verdict.DROP:
             idioms.append(_ignored(bank, index))
             return
@@ -873,7 +874,9 @@ class ProgramVerifier:
                 "precharged (raises CommandSequenceError at runtime)",
             )
             return
-        if open_.phase == "sharing":
+        # As on the device, a RD resolves a sharing activation before its
+        # row is checked, and a WR only once it is accepted.
+        if open_.phase == "sharing" and not (write and verdict is Verdict.REFUSE):
             self._resolve(state, bank, open_)
         if verdict is Verdict.REFUSE:
             active = sorted(r for _, r in self._open_bank_rows(bank, open_))
@@ -891,7 +894,7 @@ class ProgramVerifier:
                 f"{verb} issued {gap:.2f}ns after the activation, sooner "
                 f"than tRCD={timing.t_rcd:g}ns",
             )
-        if cmd.opcode is Opcode.WR:
+        if write:
             # A write overdrives the activated rows: any Frac value on
             # this subarray is gone.
             if state.frac_rows:

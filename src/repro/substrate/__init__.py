@@ -1,13 +1,11 @@
 """Pluggable measurement backends (:class:`SubstrateBackend`).
 
-One interface, three engines:
+One interface, two engines:
 
 * ``analog`` — the analog-behavioral reference model (the default;
   bit-identical to the pre-substrate code paths).
 * ``surrogate:PATH`` — fitted success-probability tables, fast enough
   for fleet-scale sweeps (fit with ``python -m repro.substrate fit``).
-* ``trace-record:PATH`` / ``trace-replay:PATH`` / ``trace-verify`` —
-  record/replay of backend calls for byte-identical test fixtures.
 
 See :mod:`repro.substrate.base` for the protocol and the backend
 specification-string grammar.
@@ -34,7 +32,6 @@ from .surrogate import (
     pattern_key,
     sample_success_counts,
 )
-from .trace import TraceBackend, decode_result, encode_result
 
 __all__ = [
     "SubstrateBackend",
@@ -42,9 +39,6 @@ __all__ = [
     "SurrogateBackend",
     "SurrogateTable",
     "TableCell",
-    "TraceBackend",
-    "encode_result",
-    "decode_result",
     "NotMeasurementLike",
     "LogicMeasurementLike",
     "FitGrid",

@@ -10,7 +10,7 @@ workloads only need the map itself, served fast.
 
 :class:`SubstrateBackend` is the interface cut that makes the model
 swappable without touching callers (the one-memory-API / pluggable-
-backend split of Ramulator-style simulators).  Three implementations
+backend split of Ramulator-style simulators).  Two implementations
 ship:
 
 * :class:`~repro.substrate.analog.AnalogBackend` — the existing analog
@@ -19,23 +19,17 @@ ship:
 * :class:`~repro.substrate.surrogate.SurrogateBackend` — fitted
   success-probability tables (``python -m repro.substrate fit``) with
   deterministic per-trial Bernoulli draws; orders of magnitude faster.
-* :class:`~repro.substrate.trace.TraceBackend` — record/replay of
-  backend calls for tests: record against the analog reference, replay
-  byte-identically, with strict-mode mismatch errors.
 
 Backends are selected by *specification string* (picklable, so sweep
 work objects can carry them across process-pool boundaries)::
 
     analog                  the analog-behavioral reference model
     surrogate:PATH          surrogate backend serving the table at PATH
-    trace-record:PATH       record every call (against analog) to PATH
-    trace-replay:PATH       replay the trace at PATH, strict
-    trace-verify            analog + record/replay round-trip self-check
 
 :func:`resolve_backend` parses these, with a process-local cache so a
-surrogate table is loaded (and a recording accumulates) once per
-process.  Tests can install arbitrary backend objects under custom spec
-strings with :func:`register_backend`.
+surrogate table is loaded once per process.  Tests can install
+arbitrary backend objects under custom spec strings with
+:func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -92,7 +86,7 @@ class NotMeasurementLike(Protocol):
     """What a backend's NOT measurement must expose.
 
     :class:`repro.core.success.NotSuccessMeasurement` is the reference
-    implementation; surrogate and trace measurements mimic its surface.
+    implementation; surrogate measurements mimic its surface.
     """
 
     @property
@@ -190,11 +184,6 @@ class SubstrateBackend(abc.ABC):
         model can't; the surrogate serves its fitted table)."""
         return None
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def finalize(self) -> None:
-        """Flush any accumulated state (trace recordings) to disk."""
-
 
 # ----------------------------------------------------------------------
 # backend specification strings
@@ -203,8 +192,8 @@ class SubstrateBackend(abc.ABC):
 #: Test-installed backends, keyed by spec string (process-local).
 _REGISTRY: Dict[str, SubstrateBackend] = {}
 
-#: Parsed-spec cache so each process loads a surrogate table (or
-#: accumulates a trace recording) exactly once per spec string.
+#: Parsed-spec cache so each process loads a surrogate table exactly
+#: once per spec string.
 _CACHE: Dict[str, SubstrateBackend] = {}
 
 
@@ -254,23 +243,13 @@ def resolve_backend(spec: Any) -> SubstrateBackend:
 def _parse_spec(spec: str) -> SubstrateBackend:
     from .analog import AnalogBackend
     from .surrogate import SurrogateBackend, SurrogateTable
-    from .trace import TraceBackend
 
     if spec == "analog":
         return AnalogBackend()
-    if spec == "trace-verify":
-        return TraceBackend.verify()
     kind, _separator, path = spec.partition(":")
-    if not path:
+    if kind != "surrogate" or not path:
         raise SubstrateError(
-            f"unknown backend spec {spec!r}; expected 'analog', "
-            "'surrogate:PATH', 'trace-record:PATH', 'trace-replay:PATH', "
-            "or 'trace-verify'"
+            f"unknown backend spec {spec!r}; expected 'analog' or "
+            "'surrogate:PATH'"
         )
-    if kind == "surrogate":
-        return SurrogateBackend(SurrogateTable.load(path))
-    if kind == "trace-record":
-        return TraceBackend.record(path)
-    if kind == "trace-replay":
-        return TraceBackend.replay(path)
-    raise SubstrateError(f"unknown backend spec {spec!r}")
+    return SurrogateBackend(SurrogateTable.load(path))

@@ -228,7 +228,7 @@ class SurrogateTable:
         return {"format": self.FORMAT, "meta": self.meta, "cells": cells}
 
     def save(self, path: str) -> None:
-        atomic_write_json(path, self.to_payload(), indent=2)
+        atomic_write_json(path, self.to_payload())
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "SurrogateTable":
@@ -536,8 +536,8 @@ class SurrogateBackend(SubstrateBackend):
     ) -> SurrogateNotMeasurement:
         raise SubstrateError(
             "the surrogate backend serves fleet-level cells, not explicit "
-            "row addresses; use the analog or trace backend for "
-            "address-level measurements"
+            "row addresses; use the analog backend for address-level "
+            "measurements"
         )
 
     def logic_measurement_at(
@@ -550,8 +550,8 @@ class SurrogateBackend(SubstrateBackend):
     ) -> SurrogateLogicMeasurement:
         raise SubstrateError(
             "the surrogate backend serves fleet-level cells, not explicit "
-            "row addresses; use the analog or trace backend for "
-            "address-level measurements"
+            "row addresses; use the analog backend for address-level "
+            "measurements"
         )
 
     # -- probability service -----------------------------------------------

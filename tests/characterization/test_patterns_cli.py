@@ -57,6 +57,22 @@ class TestCli:
         assert "SK Hynix" in output
         assert "paper-vs-measured" in output
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--backend", "trace-record"], "invalid choice: 'trace-record'"),
+            (["--trace", "t.json"], "unrecognized arguments: --trace"),
+        ],
+        ids=["backend-trace-record", "trace-flag"],
+    )
+    def test_only_analog_and_surrogate_backends(self, capsys, argv, message):
+        from repro.characterization.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_report_cli_writes_file(self, tmp_path):
         from repro.analysis.report import main
 

@@ -131,21 +131,13 @@ def micron_host(micron_config):
     return DramBenderHost(module)
 
 
-@pytest.fixture(params=["analog", "trace-verify"])
-def backend(request):
-    """A :class:`repro.substrate.SubstrateBackend` for measurement tests.
+@pytest.fixture()
+def backend():
+    """The analog :class:`repro.substrate.SubstrateBackend`, so
+    measurement tests build their measurements through the backend
+    interface."""
+    from repro.substrate import AnalogBackend
 
-    Parameterized over the analog reference and the trace backend in
-    verify mode (record + immediate JSON-codec round trip with
-    byte-identity asserted), so every success-rate test that goes
-    through the backend interface also exercises the trace machinery
-    without touching disk.  Both serve results bit-identical to direct
-    analog construction.
-    """
-    from repro.substrate import AnalogBackend, TraceBackend
-
-    if request.param == "trace-verify":
-        return TraceBackend.verify()
     return AnalogBackend()
 
 

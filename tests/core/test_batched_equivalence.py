@@ -3,11 +3,11 @@
 ``data/golden_trial_counts.json`` holds what a serial per-trial loop
 (one program per trial on :class:`~repro.dram.bank.Bank`) measured for
 every case in :data:`CASES` — per-cell success counts of NOT, AND/NAND
-and OR/NOR, under fault injection, at an odd row width and with lanes
-split across two chips — and the group statistics of the figures in
-:data:`FIGURES`.  The trial engine must reproduce every count exactly,
-for every block partition: nine one-trial blocks, ``[7, 2]`` and one
-block.
+and OR/NOR, under fault injection, at an odd row width, with lanes
+split across two chips and at 70 °C — and the group statistics of the
+figures in :data:`FIGURES`.  The trial engine must reproduce every
+count exactly, for every block partition: nine one-trial blocks,
+``[7, 2]`` and one block.
 
 Running this file as a script re-records the fixture; with the engine
 unchanged it rewrites the file byte for byte::
@@ -133,6 +133,20 @@ def _split_host():
     return DramBenderHost(module)
 
 
+#: One chip at 70 °C, the only NOT counts here away from the 50 °C
+#: baseline (fig10 is not among :data:`FIGURES`).  At this temperature
+#: the case's counts differ from the baseline's.
+HOT_CONFIG = sk_hynix_chip().with_geometry(
+    ChipGeometry(banks=2, subarrays_per_bank=4, rows_per_subarray=192, columns=64)
+)
+
+
+def _hot_host(temperature_c=70.0):
+    module = Module(HOT_CONFIG, chip_count=1, seed_tree=SeedTree(7))
+    module.temperature_c = temperature_c
+    return DramBenderHost(module)
+
+
 def _host_pair(make_host, n):
     host = make_host()
     geometry = host.module.config.geometry
@@ -181,6 +195,7 @@ def _count_cases():
                 cases[f"{prefix}/{op}/n={n}"] = partial(
                     _host_logic_counts, make_host, op, n
                 )
+    cases["70C/not/n=2"] = partial(_host_not_counts, _hot_host, 2)
     return cases
 
 
@@ -368,6 +383,15 @@ class TestSplitLanesAcrossChips:
     ):
         matches_golden(f"two-chip/{base_op}/n={n_inputs}")
         assert splits
+
+
+class TestTemperature:
+    def test_not_counts_at_70c_identical(self, matches_golden):
+        matches_golden("70C/not/n=2")
+
+    def test_70c_counts_differ_from_the_baseline(self):
+        baseline = _host_not_counts(partial(_hot_host, 50.0), 2)
+        assert baseline.tolist() != GOLDEN["counts"]["70C/not/n=2"]
 
 
 class TestSweepEquivalence:

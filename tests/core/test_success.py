@@ -1,11 +1,10 @@
 """Tests for the success-rate measurement machinery.
 
-Measurement construction goes through the ``backend`` fixture
-(:class:`~repro.substrate.SubstrateBackend`; parameterized over the
-analog reference and trace-verify), so every run-level assertion here
-also pins the substrate interface.  Tests that reach into analog-only
-internals (``.operation``, operand drawing) construct measurements
-directly instead.
+Measurement construction goes through the ``backend`` fixture (the
+analog :class:`~repro.substrate.SubstrateBackend`), so every run-level
+assertion here also pins the substrate interface.  Tests that reach
+into analog-only internals (``.operation``, operand drawing) construct
+measurements directly instead.
 """
 
 import numpy as np

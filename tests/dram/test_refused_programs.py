@@ -5,8 +5,9 @@ The executor walks each program (and commits the walk) before the
 device runs it.  When the device refuses a command, it has run the
 commands before it, let the refused command catch its bank up, and
 nothing after; the executor then commits the walk of exactly that.  The
-check: before every single-shot replay, the banks the executor's
-session holds open are the banks the device holds open.
+check: before every single-shot replay, the executor's session holds
+open the banks the device holds open, each in the device's phase with
+the device's rows.
 """
 
 import pytest
@@ -21,19 +22,27 @@ from repro.errors import CommandSequenceError
 
 @pytest.fixture()
 def open_bank_checks(monkeypatch):
-    """Compare the session's open banks with the device's before every
-    single-shot replay; returns ``(replays, mismatches)``."""
+    """Compare each open bank's phase and rows in the session with the
+    device's before every single-shot replay; returns ``(replays,
+    mismatches)``."""
     replays, mismatches = [], []
     replay = ProgramExecutor._replay
 
     def checked(self, program, device, trials):
         if trials is None:
-            session = set(self.semantic_session().state.open)
+            session = {
+                bank: (model.phase, dict(model.rows))
+                for bank, model in self.semantic_session().state.open.items()
+            }
             chip = self.module.chips[0]
-            banks = {b.index for b in chip.instantiated_banks() if b.is_open}
+            banks = {
+                b.index: (b._block.state.phase, b.open_rows)
+                for b in chip.instantiated_banks()
+                if b.is_open
+            }
             replays.append(program.name)
             if session != banks:
-                mismatches.append((program.name, sorted(session), sorted(banks)))
+                mismatches.append((program.name, session, banks))
         return replay(self, program, device, trials)
 
     monkeypatch.setattr(ProgramExecutor, "_replay", checked)

@@ -99,14 +99,16 @@ def _module(factory) -> Module:
     )
 
 
-def _program(timing, commands) -> TestProgram:
+def _program(timing, commands, follow_act=True) -> TestProgram:
     """The commands as a program.  As a memory controller would, WR and
-    RD address the row of their bank's latest ACT."""
+    RD address the row of their bank's latest ACT; with ``follow_act``
+    false they address the drawn row."""
     program = TestProgram(timing, name="differential")
     latest = {}
     for opcode, bank, row, wait in commands:
         if opcode == "act":
-            latest[bank] = row
+            if follow_act:
+                latest[bank] = row
             program.act(bank, row, wait_cycles=wait)
         elif opcode == "pre":
             program.pre(bank, wait_cycles=wait)
@@ -180,6 +182,49 @@ def test_verifier_predicts_the_device(factory, commands):
         )
         if device[0]:
             break  # every longer prefix is refused as well
+
+
+def _open_activations(module, executor):
+    """``(session, device)``: each open bank's phase and open rows in
+    the executor's session and on the device."""
+    session = {
+        bank: (model.phase, dict(model.rows))
+        for bank, model in executor.semantic_session().state.open.items()
+    }
+    chip = module.chips[0]
+    device = {
+        bank.index: (bank._block.state.phase, bank.open_rows)
+        for bank in chip.instantiated_banks()
+        if bank.is_open
+    }
+    return session, device
+
+
+@pytest.mark.parametrize("factory", VENDORS, ids=lambda f: f.__name__)
+@given(commands=programs)
+@settings(max_examples=150)
+# A WR the device refuses resolves nothing: the walk used to resolve a
+# sharing activation first, on SK Hynix after a 2:2 glitch and on
+# Samsung with the PRE still pending.
+@example(
+    commands=[("act", 0, 0, 1), ("pre", 0, 0, 1), ("act", 0, 33, 1), ("wr", 0, 100, 1)]
+)
+@example(
+    commands=[("act", 0, 1, 1), ("act", 1, 0, 1), ("pre", 0, 0, 1), ("wr", 0, 0, 1)]
+)
+def test_the_session_stops_where_the_device_stops(factory, commands):
+    """WR and RD address the drawn row, so many programs are refused
+    part-way.  Refused or not, the executor's session then holds each
+    open bank in the device's phase with the device's rows."""
+    module = _module(factory)
+    executor = ProgramExecutor(module, verify="off")
+    program = _program(module.chips[0].timing, commands, follow_act=False)
+    try:
+        executor.run(program)
+    except CommandSequenceError:
+        pass
+    session, device = _open_activations(module, executor)
+    assert session == device, commands
 
 
 def _cycles(program):

@@ -8,11 +8,10 @@ import pytest
 
 from repro.characterization.runner import SMOKE, find_not_measurement, iter_targets
 from repro.core.success import LogicSuccessMeasurement, NotSuccessMeasurement
-from repro.errors import SubstrateError, SurrogateTableError, TraceMismatchError
+from repro.errors import SubstrateError, SurrogateTableError
 from repro.substrate import (
     AnalogBackend,
     SubstrateBackend,
-    TraceBackend,
     distance_label,
     register_backend,
     reset_backend_cache,
@@ -45,30 +44,24 @@ class TestSpecParsing:
         backend = AnalogBackend()
         assert resolve_backend(backend) is backend
 
-    def test_trace_verify_resolves(self):
-        reset_backend_cache()
-        backend = resolve_backend("trace-verify")
-        assert isinstance(backend, TraceBackend)
-        assert backend.mode == "verify"
-        reset_backend_cache()
-
-    def test_trace_record_resolves(self, tmp_path):
-        backend = resolve_backend(f"trace-record:{tmp_path}/t.json")
-        assert isinstance(backend, TraceBackend)
-        assert backend.mode == "record"
-        reset_backend_cache()
-
-    def test_trace_replay_missing_file(self, tmp_path):
-        with pytest.raises(TraceMismatchError):
-            resolve_backend(f"trace-replay:{tmp_path}/missing.json")
-
     def test_surrogate_missing_file(self, tmp_path):
         with pytest.raises(SurrogateTableError):
             resolve_backend(f"surrogate:{tmp_path}/missing.json")
 
-    @pytest.mark.parametrize("spec", ["", "bogus", "bogus:path", "surrogate"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "",
+            "bogus",
+            "bogus:path",
+            "surrogate",
+            "trace-verify",
+            "trace-record:t.json",
+            "trace-replay:t.json",
+        ],
+    )
     def test_unknown_specs_rejected(self, spec):
-        with pytest.raises(SubstrateError):
+        with pytest.raises(SubstrateError, match="unknown backend spec"):
             resolve_backend(spec)
 
     def test_non_string_spec_rejected(self):
@@ -107,9 +100,6 @@ class TestDistanceLabels:
 class TestProtocolDefaults:
     def test_probability_defaults_to_none(self):
         assert AnalogBackend().probability("and", 2) is None
-
-    def test_finalize_is_a_no_op(self):
-        AnalogBackend().finalize()
 
     def test_abstract_backend_cannot_instantiate(self):
         with pytest.raises(TypeError):

@@ -7,7 +7,6 @@ Each property pins a law the example-based suites can only spot-check:
 * :func:`sample_success_counts` — a pure function of the RNG seed
   (seed reuse => identical counts), bounded by the trial count, and
   converging to the cell probability;
-* the trace codec — exact on arbitrary count arrays and metadata;
 * :class:`SurrogateTable` persistence — payloads survive a JSON round
   trip without losing a cell, a temperature knot, or a float bit.
 """
@@ -20,16 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.core.success import SuccessResult
-from repro.substrate import (
-    SurrogateTable,
-    TableCell,
-    decode_result,
-    encode_result,
-    sample_success_counts,
-)
+from repro.substrate import SurrogateTable, TableCell, sample_success_counts
 
 #: Finite, repr-round-trippable temperatures on a plausible grid.
 temperatures = st.floats(
@@ -123,49 +114,12 @@ class TestSampleSuccessCounts:
             sample_success_counts(np.random.default_rng(0), 0.5, 0, 1, 1)
 
 
-#: JSON-representable metadata for a measurement result.
+#: JSON-representable table metadata values.
 metadata_values = st.one_of(
     st.none(),
     st.integers(min_value=-(2**31), max_value=2**31),
     st.text(max_size=12),
 )
-
-
-class TestTraceCodecProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        counts=st.one_of(
-            arrays(
-                np.int64,
-                st.tuples(
-                    st.integers(min_value=1, max_value=4),
-                    st.integers(min_value=1, max_value=6),
-                ),
-                elements=st.integers(min_value=0, max_value=10**6),
-            ),
-            arrays(
-                np.int32,
-                st.tuples(
-                    st.integers(min_value=1, max_value=4),
-                    st.integers(min_value=1, max_value=6),
-                ),
-                elements=st.integers(min_value=0, max_value=10**6),
-            ),
-        ),
-        trials=st.integers(min_value=1, max_value=10**6),
-        metadata=st.dictionaries(st.text(max_size=12), metadata_values, max_size=4),
-    )
-    def test_round_trip_exactness(self, counts, trials, metadata):
-        result = SuccessResult(
-            success_counts=counts, trials=trials, metadata=metadata
-        )
-        replayed = decode_result(json.loads(json.dumps(encode_result(result))))
-        assert replayed.trials == trials
-        assert replayed.metadata == metadata
-        assert replayed.success_counts.dtype == counts.dtype
-        assert replayed.success_counts.shape == counts.shape
-        assert np.array_equal(replayed.success_counts, counts)
-
 
 #: Table-key components.  Spec names exclude the "|" key separator.
 spec_names = st.text(

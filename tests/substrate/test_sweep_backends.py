@@ -3,8 +3,8 @@
 Pins the seams the figure drivers rely on: ``Scale.with_backend``
 validation, checkpoint-fingerprint separation between backends, the
 surrogate's serial/pooled interchangeability (the same bit-identity
-law the analog engine obeys), trace record/replay of a
-whole sweep, and the ``trace-record`` + process-pool guard.
+law the analog engine obeys), and registered backends standing in for
+parsed specs.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from repro.characterization.experiments.base import (
 )
 from repro.characterization.resilience import sweep_fingerprint
 from repro.characterization.runner import SMOKE, iter_descriptors
-from repro.errors import ConfigurationError
-from repro.substrate import (
-    register_backend,
-    reset_backend_cache,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.substrate import register_backend, unregister_backend
 
 NOT_VARIANTS = (NotVariant(1), NotVariant(2))
 LOGIC_VARIANTS = (LogicVariant("and", 2), LogicVariant("or", 2))
@@ -47,8 +41,8 @@ class TestScaleBackend:
         assert SMOKE.backend == "analog"
 
     def test_with_backend_returns_a_new_scale(self):
-        scale = SMOKE.with_backend("trace-verify")
-        assert scale.backend == "trace-verify"
+        scale = SMOKE.with_backend("surrogate:table.json")
+        assert scale.backend == "surrogate:table.json"
         assert scale.trials == SMOKE.trials
         assert SMOKE.backend == "analog"
 
@@ -65,7 +59,7 @@ class TestScaleBackend:
             for scale in (
                 SMOKE,
                 SMOKE.with_backend(f"surrogate:{surrogate_path}"),
-                SMOKE.with_backend("trace-verify"),
+                SMOKE.with_backend(f"surrogate:{surrogate_path}.copy"),
             )
         }
         assert len(fingerprints) == 3
@@ -129,33 +123,3 @@ class TestSurrogateSweeps:
         )
         assert_groups_identical(registered, from_path)
 
-
-class TestTraceSweeps:
-    def test_record_then_replay_reproduces_the_sweep(self, tmp_path):
-        path = tmp_path / "sweep_trace.json"
-        spec = f"trace-record:{path}"
-        recorded = not_sweep(SMOKE.with_backend(spec), 0, NOT_VARIANTS)
-        resolve_backend(spec).finalize()
-        reset_backend_cache()
-        assert path.exists()
-
-        replayed = not_sweep(
-            SMOKE.with_backend(f"trace-replay:{path}"), 0, NOT_VARIANTS
-        )
-        assert_groups_identical(recorded, replayed)
-        # And the recording itself is the plain analog sweep, untouched.
-        assert_groups_identical(not_sweep(SMOKE, 0, NOT_VARIANTS), recorded)
-
-    def test_trace_record_refuses_process_pools(self, tmp_path):
-        scale = SMOKE.with_backend(f"trace-record:{tmp_path}/t.json")
-        with pytest.raises(ConfigurationError, match="jobs=1"):
-            not_sweep(scale, 0, NOT_VARIANTS, jobs=2)
-        with pytest.raises(ConfigurationError, match="jobs=1"):
-            logic_sweep(scale, 0, LOGIC_VARIANTS, jobs=2)
-
-    def test_trace_verify_sweep_matches_analog(self):
-        analog = logic_sweep(SMOKE, 0, LOGIC_VARIANTS)
-        verified = logic_sweep(
-            SMOKE.with_backend("trace-verify"), 0, LOGIC_VARIANTS
-        )
-        assert_groups_identical(analog, verified)
