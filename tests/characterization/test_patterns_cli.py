@@ -73,6 +73,50 @@ class TestCli:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--resume"], "--resume requires --checkpoint-dir"),
+            (["--backend", "surrogate"], "requires --surrogate-table"),
+            (["--surrogate-table", "t.json"], "only applies to --backend surrogate"),
+            (["--jobs", "0"], "--jobs must be >= 1"),
+        ],
+        ids=[
+            "resume-without-dir",
+            "surrogate-without-table",
+            "table-without-surrogate",
+            "zero-jobs",
+        ],
+    )
+    def test_flag_misuse_rejected(self, capsys, argv, message):
+        from repro.characterization.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_resume_reserves_a_finished_run(self, capsys, tmp_path, jobs):
+        # The second run measures nothing; only the health block and the
+        # elapsed-time footer may differ.
+        from repro.characterization.__main__ import main
+
+        argv = ["fig15", "--scale", "smoke", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main([*argv, "--resume", "--jobs", jobs]) == 0
+        second = capsys.readouterr().out
+
+        def without_health(text):
+            blocks = text.split("\n\n")
+            kept = [b for b in blocks if "sweep health" not in b]
+            return "\n".join(kept).splitlines()[:-1]
+
+        assert without_health(second) == without_health(first)
+        assert "6/6 completed, 6 resumed from checkpoint" in second
+        assert "attempts: 0 (0 retries)" in second
+
     def test_report_cli_writes_file(self, tmp_path):
         from repro.analysis.report import main
 

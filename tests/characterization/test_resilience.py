@@ -319,6 +319,23 @@ class TestCheckpointResume:
                 _CountRowsWork(), SMOKE, 1, descriptors, resilience=second
             )
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "not valid JSON"),
+            ('{"version": 999, "records": []}', "has version 999"),
+        ],
+        ids=["invalid-json", "other-version"],
+    )
+    def test_unreadable_checkpoint_refuses_resume(self, tmp_path, text, message):
+        (tmp_path / "demo-sweep00.json").write_text(text)
+        res = Resilience(checkpoint_dir=str(tmp_path), resume=True)
+        res.begin_experiment("demo")
+        with pytest.raises(ConfigurationError, match=message):
+            SerialExecutor().run_resilient(
+                _CountRowsWork(), SMOKE, 0, iter_descriptors(SMOKE), resilience=res
+            )
+
     def test_missing_checkpoint_is_fresh_run(self, tmp_path):
         descriptors = iter_descriptors(SMOKE)
         res = Resilience(checkpoint_dir=str(tmp_path), resume=True)

@@ -227,6 +227,41 @@ def test_the_session_stops_where_the_device_stops(factory, commands):
     assert session == device, commands
 
 
+#: ACT row 0, PRE, ACT row 1 one cycle apart: the second ACT meets the
+#: pending PRE, so bank 0 shares rows 0 and 1 (Micron opens row 0 only).
+SHARING_PREFIX = [("act", 0, 0, 1), ("pre", 0, 0, 1), ("act", 0, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "factory, opcode, refused, phase, rows",
+    [
+        pytest.param(sk_hynix_chip, "wr", True, "sharing", (0, 1), id="sk_hynix-wr"),
+        pytest.param(sk_hynix_chip, "rd", True, "latched", (0, 1), id="sk_hynix-rd"),
+        pytest.param(samsung_chip, "wr", True, "sharing", (0, 1), id="samsung-wr"),
+        pytest.param(samsung_chip, "rd", True, "latched", (0, 1), id="samsung-rd"),
+        pytest.param(micron_chip, "wr", False, "latched", (0,), id="micron-wr"),
+        pytest.param(micron_chip, "rd", True, "latched", (0,), id="micron-rd"),
+    ],
+)
+def test_a_column_access_to_a_row_not_open(factory, opcode, refused, phase, rows):
+    """Row 20 is not open.  A refused RD has resolved the activation
+    first; a refused WR has resolved nothing and leaves the bank
+    sharing.  Micron drops the WR instead.  The session agrees."""
+    module = _module(factory)
+    executor = ProgramExecutor(module, verify="off")
+    commands = SHARING_PREFIX + [(opcode, 0, 20, 1)]
+    program = _program(module.chips[0].timing, commands, follow_act=False)
+    try:
+        executor.run(program)
+    except CommandSequenceError:
+        assert refused
+    else:
+        assert not refused
+    session, device = _open_activations(module, executor)
+    assert device == {0: (phase, {0: rows})}
+    assert session == device
+
+
 def _cycles(program):
     """A program's commands as (opcode, bank, row, wait cycles)."""
     return [

@@ -12,6 +12,8 @@ from repro.errors import SubstrateError, SurrogateTableError
 from repro.substrate import (
     AnalogBackend,
     SubstrateBackend,
+    SurrogateBackend,
+    SurrogateTable,
     distance_label,
     register_backend,
     reset_backend_cache,
@@ -55,6 +57,7 @@ class TestSpecParsing:
             "bogus",
             "bogus:path",
             "surrogate",
+            "surrogate:",
             "trace-verify",
             "trace-record:t.json",
             "trace-replay:t.json",
@@ -63,6 +66,30 @@ class TestSpecParsing:
     def test_unknown_specs_rejected(self, spec):
         with pytest.raises(SubstrateError, match="unknown backend spec"):
             resolve_backend(spec)
+
+    def test_unknown_spec_error_names_the_two_engines(self):
+        with pytest.raises(SubstrateError) as error:
+            resolve_backend("bogus")
+        assert "expected 'analog' or 'surrogate:PATH'" in str(error.value)
+
+    def test_surrogate_spec_serves_its_table(self, fitted_table, surrogate_path):
+        spec = f"surrogate:{surrogate_path}"
+        backend = resolve_backend(spec)
+        assert isinstance(backend, SurrogateBackend)
+        assert resolve_backend(spec) is backend
+        assert backend.probability("and", 2) == fitted_table.probability(
+            "*", "and", 2, 50.0
+        )
+
+    def test_reset_cache_reloads_a_rewritten_table(self, fitted_table, tmp_path):
+        path = tmp_path / "table.json"
+        fitted_table.save(str(path))
+        spec = f"surrogate:{path}"
+        assert resolve_backend(spec).probability("and", 2) is not None
+        SurrogateTable().save(str(path))
+        assert resolve_backend(spec).probability("and", 2) is not None
+        reset_backend_cache()
+        assert resolve_backend(spec).probability("and", 2) is None
 
     def test_non_string_spec_rejected(self):
         with pytest.raises(SubstrateError):

@@ -3,8 +3,9 @@
 Pins the seams the figure drivers rely on: ``Scale.with_backend``
 validation, checkpoint-fingerprint separation between backends, the
 surrogate's serial/pooled interchangeability (the same bit-identity
-law the analog engine obeys), and registered backends standing in for
-parsed specs.
+law the analog engine obeys), registered backends standing in for
+parsed specs, and a finished sweep of either engine re-served from its
+checkpoint.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from repro.characterization.experiments.base import (
     logic_sweep,
     not_sweep,
 )
-from repro.characterization.resilience import sweep_fingerprint
+from repro.characterization.resilience import Resilience, sweep_fingerprint
 from repro.characterization.runner import SMOKE, iter_descriptors
+from repro.dram.config import Manufacturer
+from repro.errors import ConfigurationError
 from repro.substrate import register_backend, unregister_backend
 
 NOT_VARIANTS = (NotVariant(1), NotVariant(2))
@@ -123,3 +126,113 @@ class TestSurrogateSweeps:
         )
         assert_groups_identical(registered, from_path)
 
+
+def _checkpointed(directory, resume=False):
+    resilience = Resilience(checkpoint_dir=str(directory), resume=resume)
+    resilience.begin_experiment("reserve")
+    return resilience
+
+
+SWEEPS = {
+    "not": lambda scale, seed, resilience: not_sweep(
+        scale, seed, NOT_VARIANTS, resilience=resilience
+    ),
+    "logic": lambda scale, seed, resilience: logic_sweep(
+        scale, seed, LOGIC_VARIANTS, resilience=resilience
+    ),
+}
+
+
+class TestCheckpointResume:
+    """A finished sweep is re-served from its checkpoint: ``--resume``
+    measures nothing and hands back the first run's samples."""
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    @pytest.mark.parametrize("engine", ["analog", "surrogate"])
+    def test_resume_reserves_the_finished_sweep(
+        self, tmp_path, surrogate_path, engine, sweep
+    ):
+        spec = "analog" if engine == "analog" else f"surrogate:{surrogate_path}"
+        scale = SMOKE.with_backend(spec)
+        run = SWEEPS[sweep]
+        first = _checkpointed(tmp_path)
+        recorded = run(scale, 0, first)
+        resumed = _checkpointed(tmp_path, resume=True)
+        reserved = run(scale, 0, resumed)
+        assert_groups_identical(recorded, reserved)
+        assert_groups_identical(run(scale, 0, None), reserved)
+        assert resumed.health.attempts == 0
+        assert resumed.health.resumed_targets == first.health.completed_targets
+        assert resumed.health.resumed_targets > 0
+
+    def test_pooled_resume_reserves_a_serial_checkpoint(
+        self, tmp_path, surrogate_path
+    ):
+        scale = SMOKE.with_backend(f"surrogate:{surrogate_path}")
+        recorded = not_sweep(
+            scale, 0, NOT_VARIANTS, resilience=_checkpointed(tmp_path)
+        )
+        resumed = _checkpointed(tmp_path, resume=True)
+        reserved = not_sweep(scale, 0, NOT_VARIANTS, jobs=2, resilience=resumed)
+        assert_groups_identical(recorded, reserved)
+        assert resumed.health.attempts == 0
+
+    @pytest.mark.parametrize(
+        "change",
+        ["backend", "trials", "seed", "variants", "temperatures", "fleet"],
+    )
+    def test_checkpoint_of_another_sweep_is_refused(
+        self, tmp_path, surrogate_path, change
+    ):
+        # Every input that moves the samples keys the checkpoint; a
+        # resume under any other must refuse, not serve stale numbers.
+        not_sweep(SMOKE, 0, NOT_VARIANTS, resilience=_checkpointed(tmp_path))
+        scale, seed, variants, options = SMOKE, 0, NOT_VARIANTS, {}
+        if change == "backend":
+            scale = SMOKE.with_backend(f"surrogate:{surrogate_path}")
+        elif change == "trials":
+            scale = SMOKE.with_trials(SMOKE.trials + 1)
+        elif change == "seed":
+            seed = 1
+        elif change == "variants":
+            variants = NOT_VARIANTS + (NotVariant(4),)
+        elif change == "temperatures":
+            options = {"temperatures": (50.0, 70.0)}
+        else:
+            options = {"manufacturers": [Manufacturer.SK_HYNIX]}
+        with pytest.raises(ConfigurationError, match="different sweep"):
+            not_sweep(
+                scale,
+                seed,
+                variants,
+                resilience=_checkpointed(tmp_path, resume=True),
+                **options,
+            )
+
+
+class TestCli:
+    def test_surrogate_run_is_reserved_on_resume(
+        self, capsys, tmp_path, surrogate_path
+    ):
+        from repro.characterization.__main__ import main
+
+        smoke = ["fig7", "--scale", "smoke"]
+        assert main(smoke) == 0
+        analog_table = capsys.readouterr().out.split("\n\n")[0]
+        argv = [
+            *smoke,
+            "--backend",
+            "surrogate",
+            "--surrogate-table",
+            surrogate_path,
+            "--checkpoint-dir",
+            str(tmp_path),
+        ]
+        assert main(argv) == 0
+        table = capsys.readouterr().out.split("\n\n")[0]
+        assert main([*argv, "--resume"]) == 0
+        second = capsys.readouterr().out
+        assert table != analog_table
+        assert second.split("\n\n")[0] == table
+        assert "9/9 completed, 9 resumed from checkpoint" in second
+        assert "attempts: 0 (0 retries)" in second

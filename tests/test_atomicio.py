@@ -54,3 +54,11 @@ class TestAtomicWriteJson:
         values = [0.1 + 0.2, 1.0 / 3.0, 1e-308, 2**53 + 1.0]
         atomic_write_json(str(path), values)
         assert json.loads(path.read_text()) == values
+
+    def test_indents_by_two(self, tmp_path):
+        # Surrogate and policy tables are written this way; their files
+        # keep one layout.
+        path = tmp_path / "out.json"
+        payload = {"cells": [{"p": 0.5}], "meta": {"origin": "test"}}
+        atomic_write_json(str(path), payload)
+        assert path.read_text() == json.dumps(payload, indent=2)
