@@ -264,7 +264,9 @@ def write_report(path: str, scale: Scale = DEFAULT, seed: int = 0, **kwargs) -> 
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--scale", choices=sorted(SCALES), default="default")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="EXPERIMENTS.md")

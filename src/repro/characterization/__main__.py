@@ -37,7 +37,8 @@ def _backend_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.characterization", description=__doc__
+        prog="python -m repro.characterization", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("experiment", nargs="?", help="experiment id, e.g. fig15")
     parser.add_argument("--scale", choices=sorted(SCALES), default="default")

@@ -10,6 +10,8 @@ Layering, bottom-up:
   retention, RowHammer and noise streams
 * :mod:`repro.dram.batch` — the activation engine: the bank state
   machine, over one trial or a block of trials
+* :mod:`repro.dram.normal` — the normal CDF and the latch fights' exact
+  hold decisions
 * :mod:`repro.dram.chip` / :mod:`repro.dram.module` — chip and lock-step
   module assemblies
 """

@@ -62,13 +62,13 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtr  # type: ignore[import-untyped]
 
 from ..errors import AddressError, CommandSequenceError, UnsupportedOperationError
 from ..units import GND, VDD, VDD_HALF
 from .analog import charge_share, coupling_disturbance, sense_differential
 from .control import Activation, Regime, Verdict
 from .decoder import ActivationPattern
+from .normal import SATURATED_Z, below_ndtr
 
 if TYPE_CHECKING:
     from .bank import Bank
@@ -787,17 +787,26 @@ class BatchedBank:
         (7.95% at 32 destination rows, Observation 4): the destination
         ends up with the source's value instead of its negation.
         """
-        calibration = self.calibration
         if alpha is None:
-            alpha = calibration.drive_load_alpha
-        strengths = self.stripes[stripe].strengths[served]
-        z = strengths - alpha * max(0, load_rows - 1) + extra_z
-        holds = self._uniform_draws(lane, strengths.size) < ndtr(z)
-
-        # A column that does not hold flips its latch (a view, updated in
-        # place), and the write-back drives the flipped value.
-        on_served = latched_upper[:, served]
-        np.subtract(VDD, on_served, out=on_served, where=~holds)
+            alpha = self.calibration.drive_load_alpha
+        variation = self.stripes[stripe]
+        strengths = variation.strengths[served]
+        load_z = alpha * max(0, load_rows - 1)
+        draws = self._uniform_draws(lane, strengths.size)
+        # A column holds when its draw falls below Φ(z).  With one extra_z
+        # for every column, rounding is monotonic, so no column's z is
+        # below the weakest amplifier's; from SATURATED_Z up Φ is exactly
+        # 1.0 and every draw (in [0, 1)) holds.  A per-trial extra_z goes
+        # to the bound tables, which decide a saturated column as exactly.
+        if (
+            not isinstance(extra_z, float)
+            or variation.weakest[stripe % 2] - load_z + extra_z < SATURATED_Z
+        ):
+            holds = below_ndtr(draws, strengths - load_z + extra_z)
+            # A column that does not hold flips its latch (a view, updated
+            # in place), and the write-back drives the flipped value.
+            on_served = latched_upper[:, served]
+            np.subtract(VDD, on_served, out=on_served, where=~holds)
         self._writeback_lane(stripe, rows, served, latched_upper, lane)
 
     def _writeback_lane(

@@ -17,6 +17,7 @@ Two distinct phenomena (the paper keeps them separate, following
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,10 +92,13 @@ class StripeVariation:
     * ``offsets`` — static input-referred offset voltage [VDD] added to
       the (upper minus lower) differential before resolution.
     * ``strengths`` — restore drive strength on the z-score scale used by
-      the drive model (see :mod:`repro.dram.calibration`).
+      the drive model (see :mod:`repro.dram.calibration`); read-only.
+
+    ``weakest[p]`` is the least strength among the columns a stripe of
+    parity ``p`` serves (``column % 2 == p``).
     """
 
-    __slots__ = ("offsets", "strengths")
+    __slots__ = ("offsets", "strengths", "weakest")
 
     def __init__(
         self, columns: int, calibration: DieCalibration, seed_tree: SeedTree
@@ -115,6 +119,11 @@ class StripeVariation:
         # count shows some 100%-success cells).
         strong = rng.random(columns) < calibration.strong_sa_fraction
         self.strengths[strong] += calibration.strong_sa_boost
+        self.strengths.flags.writeable = False
+        self.weakest = (
+            float(self.strengths[0::2].min()),
+            float(self.strengths[1::2].min()) if columns > 1 else math.inf,
+        )
 
     @property
     def columns(self) -> int:

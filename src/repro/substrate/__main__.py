@@ -35,7 +35,8 @@ def _csv_ints(text: str) -> List[int]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.substrate", description=__doc__
+        prog="python -m repro.substrate", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
