@@ -5,26 +5,23 @@ and the EXPERIMENTS.md report generator.
 * :mod:`repro.analysis.boxplot` — terminal box-and-whiskers rendering
 * :mod:`repro.analysis.compare` — paper-vs-measured extraction
 * :mod:`repro.analysis.report` — full report generation (CLI:
-  ``python -m repro.analysis.report``)
+  ``python -m repro.analysis.report``).  The package does not import
+  it, so ``python -m`` runs it as a fresh module.
 """
 
 from .boxplot import render_box_line, render_boxes
 from .compare import ComparisonRow, compare_experiment
 from .paperdata import PAPER, PaperAnchor, anchors_for
-from .report import EXPERIMENT_ORDER, generate_report, write_report
 from .throughput import ThroughputEstimate, estimate_throughput
 
 __all__ = [
     "ComparisonRow",
-    "EXPERIMENT_ORDER",
     "PAPER",
     "PaperAnchor",
     "anchors_for",
     "compare_experiment",
-    "generate_report",
     "render_box_line",
     "render_boxes",
-    "write_report",
     "ThroughputEstimate",
     "estimate_throughput",
 ]

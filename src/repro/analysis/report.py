@@ -30,7 +30,7 @@ from ..characterization.runner import DEFAULT, SCALES, Scale
 from .boxplot import render_boxes
 from .compare import ComparisonRow, compare_experiment
 
-__all__ = ["generate_report", "write_report", "main"]
+__all__ = ["generate_report", "main"]
 
 #: Report order: the inventory table, then figures in paper order.
 EXPERIMENT_ORDER = (
@@ -180,14 +180,14 @@ def generate_report(
         "default, used below) is the calibrated charge-sharing model,",
         "bit-identical to historical runs.  `surrogate` serves",
         "deterministic draws from probability tables fitted off the",
-        "analog reference (`python -m repro.substrate fit`), ~130x",
+        "analog reference (`python -m repro.substrate fit`), ~43x",
         "faster on fleet-style sweeps and within 0.02 absolute of fresh",
         "analog fleet means on every fitted (operation, fan-in,",
         "temperature) cell.  A finished sweep is re-served from its",
         "checkpoints with `--checkpoint-dir` plus `--resume` (below).",
         "See \"Substrate backends\" in README.md,",
         "`tests/substrate/` for the cross-backend equivalence suite, and",
-        "`benchmarks/bench_substrate.py` for the speedup measurement.",
+        "`tools/bench_substrate.py` for the speedup measurement.",
         "",
         "## Resilient sweeps",
         "",
@@ -258,14 +258,11 @@ def generate_report(
     return "\n".join(sections)
 
 
-def write_report(path: str, scale: Scale = DEFAULT, seed: int = 0, **kwargs) -> None:
-    content = generate_report(scale=scale, seed=seed, **kwargs)
-    atomic_write_text(path, content)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+        prog="python -m repro.analysis.report",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--scale", choices=sorted(SCALES), default="default")
     parser.add_argument("--seed", type=int, default=0)

@@ -1,15 +1,25 @@
-"""Each CLI's ``--help`` keeps the usage examples of its docstring.
+"""Each CLI's ``--help`` names its ``python -m`` command and keeps the
+usage examples of its docstring.
 
 The CLIs pass their module docstring to argparse as the description; a
 formatter that reflows it would run the ``Usage::`` commands together
-into one paragraph.
+into one paragraph.  Run as ``python -m``, a CLI module must not be
+imported by its own package first: runpy then warns with a
+RuntimeWarning, which ``-W error`` turns into exit status 1.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 CLIS = [
     "repro.characterization.__main__",
@@ -17,6 +27,28 @@ CLIS = [
     "repro.substrate.__main__",
     "repro.analysis.report",
 ]
+
+#: The ``python -m`` name of every CLI.
+COMMANDS = [
+    "repro.characterization",
+    "repro.reliability",
+    "repro.substrate",
+    "repro.analysis.report",
+    "repro.staticcheck",
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_python_m_help_runs_without_a_runtime_warning(command):
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", command, "--help"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"usage: python -m {command} "), done.stdout[:200]
 
 
 @pytest.mark.parametrize("name", CLIS)

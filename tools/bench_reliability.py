@@ -11,8 +11,8 @@ deployment pays once per chip.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_reliability.py
-    PYTHONPATH=src python benchmarks/bench_reliability.py --out other.json
+    PYTHONPATH=src python tools/bench_reliability.py
+    PYTHONPATH=src python tools/bench_reliability.py --out other.json --seed 2
 
 The headline numbers are the measured wall-clock multiplier of each
 scheme relative to uncoded, next to the model's predicted expected-cost
@@ -148,7 +148,9 @@ def run_benchmark(seed: int = 1) -> Dict[str, object]:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--out", default="BENCH_reliability.json")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
